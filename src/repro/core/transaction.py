@@ -51,6 +51,19 @@ class TransactionState(enum.Enum):
     SHED = "shed"
 
 
+# Hoisted enum members: the lifecycle transitions below run several times
+# per scheduling point, and a module global is far cheaper to read than an
+# enum member through its class.
+_CREATED = TransactionState.CREATED
+_WAITING = TransactionState.WAITING
+_READY = TransactionState.READY
+_RUNNING = TransactionState.RUNNING
+_COMPLETED = TransactionState.COMPLETED
+_ABORTED = TransactionState.ABORTED
+_SHED = TransactionState.SHED
+_TERMINAL = (_COMPLETED, _ABORTED, _SHED)
+
+
 class Transaction:
     """A single web transaction (Definition 1 of the paper).
 
@@ -144,7 +157,7 @@ class Transaction:
         # is the property alias kept for the engine-facing vocabulary.
         self.remaining = float(length)
         self.scheduling_remaining = self.length_estimate
-        self.state = TransactionState.CREATED
+        self.state = _CREATED
         self.finish_time: float | None = None
         self.first_start_time: float | None = None
         self.last_dispatch_time: float | None = None
@@ -268,7 +281,7 @@ class Transaction:
 
     @property
     def is_completed(self) -> bool:
-        return self.state is TransactionState.COMPLETED
+        return self.state is _COMPLETED
 
     @property
     def is_finished(self) -> bool:
@@ -278,29 +291,27 @@ class Transaction:
         and SHED (rejected by admission control); the latter two only
         occur under fault injection.
         """
-        return self.state in (
-            TransactionState.COMPLETED,
-            TransactionState.ABORTED,
-            TransactionState.SHED,
-        )
+        return self.state in _TERMINAL
 
     # ------------------------------------------------------------------
     # Lifecycle transitions, called by the simulation engine only.
     # ------------------------------------------------------------------
     def mark_waiting(self) -> None:
-        self._expect_state(TransactionState.CREATED)
-        self.state = TransactionState.WAITING
+        if self.state is not _CREATED:
+            self._expect_state(_CREATED)
+        self.state = _WAITING
 
     def mark_ready(self) -> None:
-        if self.state not in (TransactionState.CREATED, TransactionState.WAITING):
+        if self.state is not _CREATED and self.state is not _WAITING:
             raise InvalidTransactionError(
                 f"cannot mark {self!r} ready from state {self.state}"
             )
-        self.state = TransactionState.READY
+        self.state = _READY
 
     def mark_running(self, now: float) -> None:
-        self._expect_state(TransactionState.READY)
-        self.state = TransactionState.RUNNING
+        if self.state is not _READY:
+            self._expect_state(_READY)
+        self.state = _RUNNING
         if self.first_start_time is None:
             self.first_start_time = now
         self.last_dispatch_time = now
@@ -313,8 +324,9 @@ class Transaction:
         transaction is then dispatched does the suspension count as a real
         preemption (the engine bumps :attr:`preemptions` explicitly).
         """
-        self._expect_state(TransactionState.RUNNING)
-        self.state = TransactionState.READY
+        if self.state is not _RUNNING:
+            self._expect_state(_RUNNING)
+        self.state = _READY
 
     def mark_preempted(self) -> None:
         """Move RUNNING -> READY and count a preemption."""
@@ -353,7 +365,8 @@ class Transaction:
         self.remaining += extra
 
     def mark_completed(self, now: float) -> None:
-        self._expect_state(TransactionState.RUNNING)
+        if self.state is not _RUNNING:
+            self._expect_state(_RUNNING)
         if self.remaining > 1e-9:
             raise InvalidTransactionError(
                 f"transaction {self.txn_id} completed with {self.remaining} "
@@ -361,7 +374,7 @@ class Transaction:
             )
         self.remaining = 0.0
         self.scheduling_remaining = 0.0
-        self.state = TransactionState.COMPLETED
+        self.state = _COMPLETED
         self.finish_time = now
 
     # ------------------------------------------------------------------
@@ -369,8 +382,9 @@ class Transaction:
     # ------------------------------------------------------------------
     def mark_retry_wait(self) -> None:
         """Move RUNNING -> WAITING after an injected abort, pending retry."""
-        self._expect_state(TransactionState.RUNNING)
-        self.state = TransactionState.WAITING
+        if self.state is not _RUNNING:
+            self._expect_state(_RUNNING)
+        self.state = _WAITING
 
     def rollback(self, full: bool) -> None:
         """Discard the current attempt's progress after an abort.
@@ -388,25 +402,28 @@ class Transaction:
 
     def resubmit(self, now: float, deadline: float) -> None:
         """Re-enter the ready pool after the retry backoff elapsed."""
-        self._expect_state(TransactionState.WAITING)
+        if self.state is not _WAITING:
+            self._expect_state(_WAITING)
         if deadline < now:
             raise InvalidTransactionError(
                 f"re-submission deadline {deadline} precedes retry time {now}"
             )
         self.deadline = float(deadline)
         self.retries += 1
-        self.state = TransactionState.READY
+        self.state = _READY
 
     def mark_aborted(self, now: float) -> None:
         """Terminal abort: the retry budget is exhausted."""
-        self._expect_state(TransactionState.RUNNING)
-        self.state = TransactionState.ABORTED
+        if self.state is not _RUNNING:
+            self._expect_state(_RUNNING)
+        self.state = _ABORTED
         self.finish_time = now
 
     def mark_shed(self, now: float) -> None:
         """Terminal rejection by admission control (READY work only)."""
-        self._expect_state(TransactionState.READY)
-        self.state = TransactionState.SHED
+        if self.state is not _READY:
+            self._expect_state(_READY)
+        self.state = _SHED
         self.finish_time = now
 
     def reset(self) -> None:
@@ -418,7 +435,7 @@ class Transaction:
         self.deadline = self.submitted_deadline
         self.remaining = self.length
         self.scheduling_remaining = self.length_estimate
-        self.state = TransactionState.CREATED
+        self.state = _CREATED
         self.finish_time = None
         self.first_start_time = None
         self.last_dispatch_time = None

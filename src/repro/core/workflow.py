@@ -324,13 +324,7 @@ class Workflow:
         return [
             txn
             for txn in self.members()
-            if txn.state
-            not in (
-                TransactionState.CREATED,
-                TransactionState.COMPLETED,
-                TransactionState.ABORTED,
-                TransactionState.SHED,
-            )
+            if txn.state not in (_CREATED, _COMPLETED, _ABORTED, _SHED)
         ]
 
     @property

@@ -108,6 +108,11 @@ __all__ = [
 #: Current event-log schema version; bumped on incompatible changes.
 SCHEMA_VERSION = 1
 
+#: Compact one-line record encoder, built once: ``json.dumps`` with
+#: non-default ``separators`` constructs a fresh encoder per call, which
+#: the per-event writers would pay on every record.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
 #: Event kinds an :class:`EventSampler` must never drop: run framing,
 #: aggregate window snapshots, and whole-system fault transitions.
 KEEP_ALWAYS_KINDS = frozenset(
@@ -244,8 +249,7 @@ class JsonlWriter:
     def write(self, record: dict) -> None:
         if self._file is None:
             raise ObservabilityError(f"writer for {self.path} already closed")
-        self._file.write(json.dumps(record, separators=(",", ":")))
-        self._file.write("\n")
+        self._file.write(_encode(record) + "\n")
         # Crash tolerance: flush per event so a killed process loses at
         # most the line it was writing — which :func:`read_tolerant`
         # then tolerates instead of rejecting the whole log.
@@ -358,7 +362,7 @@ class RotatingJsonlWriter:
     def write(self, record: dict) -> None:
         if self._file is None:
             raise ObservabilityError(f"writer for {self.path} already closed")
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        line = _encode(record) + "\n"
         size = len(line.encode("utf-8"))
         if self._part_records and self._part_bytes + size > self.max_bytes:
             self._file.close()

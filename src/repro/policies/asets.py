@@ -46,6 +46,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["ASETS", "negative_impact_edf", "negative_impact_srpt"]
 
+_READY = TransactionState.READY
+
 
 def negative_impact_edf(
     r_edf: float, w_srpt: float = 1.0
@@ -156,7 +158,7 @@ class ASETS(Scheduler):
         """
         while self._migrate and self._migrate[0][0] < now:
             _, snapshot, _, deadline, txn = heapq.heappop(self._migrate)
-            if txn.state is not TransactionState.READY:
+            if txn.state is not _READY:
                 continue
             # repro-lint: disable=RL003 -- snapshot identity, not arithmetic
             if snapshot != txn.scheduling_remaining or deadline != txn.deadline:
@@ -171,7 +173,7 @@ class ASETS(Scheduler):
     def _top_edf(self, now: float) -> Transaction | None:
         while self._edf:
             deadline, _, _, _, txn = self._edf[0]
-            if txn.state is not TransactionState.READY:
+            if txn.state is not _READY:
                 heapq.heappop(self._edf)
                 continue
             # repro-lint: disable=RL003 -- snapshot identity, not arithmetic
@@ -194,7 +196,7 @@ class ASETS(Scheduler):
     def _top_srpt(self, now: float) -> Transaction | None:
         while self._srpt:
             key, _, _, _, deadline, txn = self._srpt[0]
-            if txn.state is not TransactionState.READY:
+            if txn.state is not _READY:
                 heapq.heappop(self._srpt)
                 continue
             # repro-lint: disable=RL003 -- snapshot identity, not arithmetic
@@ -266,7 +268,7 @@ class ASETS(Scheduler):
         out = []
         for deadline, _, _, _, txn in sorted(self._edf):
             if (
-                txn.state is TransactionState.READY
+                txn.state is _READY
                 # repro-lint: disable=RL003 -- snapshot identity, not arithmetic
                 and deadline == txn.deadline
                 and not txn.is_past_deadline(now)
@@ -283,7 +285,7 @@ class ASETS(Scheduler):
         out = []
         for key, _, _, _, deadline, txn in sorted(self._srpt):
             if (
-                txn.state is TransactionState.READY
+                txn.state is _READY
                 and key == self._srpt_key(txn)
                 # repro-lint: disable=RL003 -- snapshot identity, not arithmetic
                 and deadline == txn.deadline

@@ -54,6 +54,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = ["BalanceAware"]
 
+_READY = TransactionState.READY
+
 
 class BalanceAware(Scheduler):
     """Aging wrapper around a scheduling policy (Section III-D).
@@ -168,7 +170,7 @@ class BalanceAware(Scheduler):
             self._pending_activation = True
 
         if self._pinned is not None:
-            if self._pinned.state is TransactionState.READY:
+            if self._pinned.state is _READY:
                 return self._pinned
             # Defensive: pins are ready transactions and only completion
             # unpins, so this should be unreachable.
@@ -197,7 +199,7 @@ class BalanceAware(Scheduler):
         best: Transaction | None = None
         best_key: tuple[float, int] | None = None
         for txn in self._ready.values():
-            if txn.state is not TransactionState.READY:
+            if txn.state is not _READY:
                 continue
             if self.tardy_only and not txn.is_past_deadline(now):
                 continue

@@ -41,6 +41,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = ["Scheduler", "ScanScheduler", "HeapScheduler"]
 
+_READY = TransactionState.READY
+
 
 class Scheduler(abc.ABC):
     """Abstract scheduling policy.
@@ -186,7 +188,7 @@ class Scheduler(abc.ABC):
 
     @staticmethod
     def _check_ready(txn: Transaction) -> None:
-        if txn.state is not TransactionState.READY:
+        if txn.state is not _READY:
             raise SchedulingError(
                 f"policy saw transaction {txn.txn_id} in state "
                 f"{txn.state}, expected READY"
@@ -226,7 +228,7 @@ class ScanScheduler(Scheduler):
             candidates = [
                 t
                 for t in self._ready.values()
-                if t.state is TransactionState.READY
+                if t.state is _READY
             ]
             if not candidates:
                 return None
@@ -235,7 +237,7 @@ class ScanScheduler(Scheduler):
             candidates = [
                 t
                 for t in self._ready.values()
-                if t.state is TransactionState.READY
+                if t.state is _READY
             ]
             if not candidates:
                 return None
@@ -288,7 +290,7 @@ class HeapScheduler(Scheduler):
             heap = self._heap
             while heap:
                 stored_key, _, _, _, txn = heap[0]
-                if txn.state is not TransactionState.READY:
+                if txn.state is not _READY:
                     heapq.heappop(heap)
                     continue
                 if stored_key != self.key(txn):
@@ -300,7 +302,7 @@ class HeapScheduler(Scheduler):
             heap = self._heap
             while heap:
                 stored_key, _, _, _, txn = heap[0]
-                if txn.state is not TransactionState.READY:
+                if txn.state is not _READY:
                     heapq.heappop(heap)
                     continue
                 if stored_key != self.key(txn):

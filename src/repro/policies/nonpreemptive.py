@@ -27,6 +27,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
 
 __all__ = ["NonPreemptive"]
 
+_READY = TransactionState.READY
+
 
 class NonPreemptive(Scheduler):
     """Run ``inner``'s choices to completion (no preemption).
@@ -94,7 +96,7 @@ class NonPreemptive(Scheduler):
         for txn_id, txn in self._pinned.items():
             if txn_id in self._offered:
                 continue
-            if txn.state is TransactionState.READY:
+            if txn.state is _READY:
                 self._offered.add(txn_id)
                 return txn
         candidate = self.inner.select(now)

@@ -87,11 +87,23 @@ _CKPT_CORE_FIELDS = (
 #: Tolerance for floating-point residues when a completion event fires.
 _EPS = 1e-9
 
+# Hoisted enum members: a class-attribute read of an enum member costs
+# an order of magnitude more than a module global, and the handler chain,
+# dispatch and reschedule read them at every scheduling point.
+_COMPLETION = EventKind.COMPLETION
+_FAULT = EventKind.FAULT
+_CRASH = EventKind.CRASH
+_RECOVER = EventKind.RECOVER
+_ARRIVAL = EventKind.ARRIVAL
+_RETRY = EventKind.RETRY
+_ACTIVATION = EventKind.ACTIVATION
+_WAITING = TransactionState.WAITING
+_READY = TransactionState.READY
+_COMPLETED = TransactionState.COMPLETED
+
 #: Event kinds charged to the ``faults`` profiling phase (the rest of the
 #: batch loop is ``events``: arrivals, completions, activations).
-_FAULT_KINDS = frozenset(
-    (EventKind.FAULT, EventKind.CRASH, EventKind.RECOVER, EventKind.RETRY)
-)
+_FAULT_KINDS = frozenset((_FAULT, _CRASH, _RECOVER, _RETRY))
 
 
 @dataclass(slots=True)
@@ -450,7 +462,7 @@ class Simulator:
         table = self._table
         for i, txn_id in enumerate(table.ids):
             self._events.push(
-                Event(table.arrival[i], EventKind.ARRIVAL, next(self._seq), txn_id)
+                Event(table.arrival[i], _ARRIVAL, next(self._seq), txn_id)
             )
         if self._faults is not None:
             self._fault_state = {
@@ -459,10 +471,10 @@ class Simulator:
             }
             for window in self._faults.crash_windows:
                 self._events.push(
-                    Event(window.start, EventKind.CRASH, next(self._seq))
+                    Event(window.start, _CRASH, next(self._seq))
                 )
                 self._events.push(
-                    Event(window.end, EventKind.RECOVER, next(self._seq))
+                    Event(window.end, _RECOVER, next(self._seq))
                 )
         period = self._policy.activation_period
         if period is not None:
@@ -471,7 +483,7 @@ class Simulator:
                     f"activation_period must be > 0, got {period}"
                 )
             self._events.push(
-                Event(period, EventKind.ACTIVATION, next(self._seq))
+                Event(period, _ACTIVATION, next(self._seq))
             )
 
     # ------------------------------------------------------------------
@@ -561,17 +573,18 @@ class Simulator:
                 self._workflows.notify_changed(txn.txn_id, "shrunk")
 
     def _handle(self, event: Event, now: float) -> None:
-        if event.kind is EventKind.COMPLETION:
+        kind = event.kind
+        if kind is _COMPLETION:
             self._handle_completion(event, now)
-        elif event.kind is EventKind.ARRIVAL:
+        elif kind is _ARRIVAL:
             self._handle_arrival(event, now)
-        elif event.kind is EventKind.FAULT:
+        elif kind is _FAULT:
             self._handle_fault(event, now)
-        elif event.kind is EventKind.CRASH:
+        elif kind is _CRASH:
             self._handle_crash(now)
-        elif event.kind is EventKind.RECOVER:
+        elif kind is _RECOVER:
             self._handle_recover(now)
-        elif event.kind is EventKind.RETRY:
+        elif kind is _RETRY:
             self._handle_retry(event, now)
         else:
             self._handle_activation(now)
@@ -622,7 +635,7 @@ class Simulator:
             dependent = self._txns[dep_id]
             if (
                 self._pending_deps[dep_id] == 0
-                and dependent.state is TransactionState.WAITING
+                and dependent.state is _WAITING
             ):
                 dependent.mark_ready()
                 self._table.mark_ready(dep_id)
@@ -648,7 +661,7 @@ class Simulator:
         period = self._policy.activation_period
         if period is not None and self._finished < len(self._txns):
             self._events.push(
-                Event(now + period, EventKind.ACTIVATION, next(self._seq))
+                Event(now + period, _ACTIVATION, next(self._seq))
             )
 
     # ------------------------------------------------------------------
@@ -695,7 +708,7 @@ class Simulator:
         self._events.push(
             Event(
                 now + overhead + max(0.0, delta),
-                EventKind.FAULT,
+                _FAULT,
                 next(self._seq),
                 txn.txn_id,
                 token=token,
@@ -741,7 +754,7 @@ class Simulator:
         self._events.push(
             Event(
                 now + dispatch.overhead_left + txn.remaining,
-                EventKind.COMPLETION,
+                _COMPLETION,
                 next(self._seq),
                 txn.txn_id,
                 token=dispatch.token,
@@ -783,7 +796,7 @@ class Simulator:
             self._workflows.notify_changed(txn.txn_id)
         delay = spec.retry_delay * spec.retry_backoff**txn.retries
         self._events.push(
-            Event(now + delay, EventKind.RETRY, next(self._seq), txn.txn_id)
+            Event(now + delay, _RETRY, next(self._seq), txn.txn_id)
         )
 
     def _handle_retry(self, event: Event, now: float) -> None:
@@ -909,7 +922,7 @@ class Simulator:
                 candidate = self._policy.select(now)
             if candidate is None:
                 break
-            if candidate.state is not TransactionState.READY:
+            if candidate.state is not _READY:
                 raise SchedulingError(
                     f"policy {self._policy.name} selected transaction "
                     f"{candidate.txn_id} in state {candidate.state}"
@@ -934,7 +947,7 @@ class Simulator:
             )
         for dispatch in previous:
             txn = dispatch.txn
-            if txn.txn_id not in dispatched and not txn.is_completed:
+            if txn.txn_id not in dispatched and txn.state is not _COMPLETED:
                 txn.preemptions += 1
                 self.preemptions += 1
                 if instrument is not None:
@@ -967,7 +980,7 @@ class Simulator:
         self._events.push(
             Event(
                 now + overhead + txn.remaining,
-                EventKind.COMPLETION,
+                _COMPLETION,
                 next(self._seq),
                 txn.txn_id,
                 token=self._token_counter,

@@ -25,7 +25,7 @@ byte-identical to the pre-fault engine.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 __all__ = ["EventKind", "Event"]
 
@@ -42,9 +42,13 @@ class EventKind(enum.IntEnum):
     ACTIVATION = 6
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One scheduled simulator event.
+
+    The event is its own heap entry: the fields are declared in heap
+    order, so plain tuple comparison orders events by ``(time, kind,
+    seq)``.  ``seq`` is unique within a run (a resumed run continues the
+    checkpointed counter), so a comparison never reaches ``txn_id``.
 
     ``token`` invalidates stale completion events: the engine bumps its
     completion token whenever the running transaction is preempted, so a
@@ -56,7 +60,7 @@ class Event:
     kind: EventKind
     seq: int
     txn_id: int | None = None
-    token: int = field(default=0)
+    token: int = 0
 
     def sort_key(self) -> tuple[float, int, int]:
         """Heap ordering: by time, then kind priority, then insertion."""

@@ -101,6 +101,24 @@ class TestValidation:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(checkpoint_path)
 
+    def test_version_1_refused(self, checkpoint_path):
+        # Version 1 pickled (sort_key, event) heap entries; a reader of
+        # the tuple-event format must refuse it before unpickling.
+        assert CKPT_VERSION == 2
+        data = checkpoint_path.read_bytes()
+        end = data.index(b"\n", len(CKPT_MAGIC))
+        header = json.loads(data[len(CKPT_MAGIC) : end])
+        header["version"] = 1
+        checkpoint_path.write_bytes(
+            CKPT_MAGIC
+            + json.dumps(header, separators=(",", ":")).encode()
+            + data[end:]
+        )
+        with pytest.raises(
+            CheckpointError, match="checkpoint version 1, this reader supports 2"
+        ):
+            load_checkpoint(checkpoint_path)
+
     def test_torn_payload(self, checkpoint_path):
         data = checkpoint_path.read_bytes()
         checkpoint_path.write_bytes(data[: len(data) // 2])

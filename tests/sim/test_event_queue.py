@@ -1,5 +1,8 @@
 """Unit tests for the event queue."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.sim.event_queue import EventQueue
@@ -57,3 +60,47 @@ def test_bool_and_iter():
     q.push(ev(1.0))
     assert q
     assert len(list(iter(q))) == 1
+
+
+def test_pop_batch_order_equals_sort_key_order_under_ties():
+    # Few distinct times and kinds, so batches are large and mix kinds;
+    # seq is unique per event, as the engine guarantees within a run.
+    rng = random.Random(20240612)
+    kinds = list(EventKind)
+    for _ in range(50):
+        events = [
+            Event(
+                float(rng.randrange(4)),
+                rng.choice(kinds),
+                seq,
+                rng.choice([None, rng.randrange(10)]),
+                token=rng.randrange(3),
+            )
+            for seq in rng.sample(range(1000), 40)
+        ]
+        q = EventQueue()
+        for event in events:
+            q.push(event)
+        drained = []
+        while q:
+            batch = q.pop_batch()
+            assert len({e.time for e in batch}) == 1
+            drained.extend(batch)
+        assert drained == sorted(events, key=Event.sort_key)
+
+
+@pytest.mark.parametrize(
+    "event",
+    [
+        Event(3.5, EventKind.ACTIVATION, 11),
+        Event(2.0, EventKind.COMPLETION, 12, txn_id=7, token=4),
+    ],
+    ids=["no-txn", "with-token"],
+)
+def test_event_pickle_round_trip(event):
+    # Checkpoints pickle the event heap as-is.
+    restored = pickle.loads(pickle.dumps(event))
+    assert type(restored) is Event
+    assert restored == event
+    assert restored.kind is event.kind
+    assert (restored.txn_id, restored.token) == (event.txn_id, event.token)
