@@ -157,12 +157,13 @@ class Workflow:
         self._dirty = True
         self._rep: RepresentativeView | None = None
         # Plain-slot aggregate mirror of the representative view, valid
-        # after refresh() while has_pending is True.  The incremental
-        # ASETS* hot path reads these directly — no snapshot allocation
-        # per touched workflow per scheduling point.  rep_true_remaining
-        # is the engine-truth minimum, swept lazily at view build (see
-        # representative()); policies must keep ranking by
-        # rep_scheduling_remaining (the believed value, RL008).
+        # while _dirty is False and has_pending is True (_refresh()
+        # recomputes them).  The incremental ASETS* stages read these
+        # directly — no snapshot allocation per touched workflow per
+        # scheduling point.  rep_true_remaining is the engine-truth
+        # minimum, swept lazily at view build (see representative());
+        # policies must keep ranking by rep_scheduling_remaining (the
+        # believed value, RL008).
         self.has_pending = False
         self.rep_deadline = _INF
         self.rep_scheduling_remaining = _INF
@@ -360,9 +361,11 @@ class Workflow:
         weight.  ``None`` when no member is pending.
 
         The snapshot object is built lazily from the plain-slot
-        aggregates and cached until the next invalidation, so callers
-        that only need the raw numbers (the incremental ASETS* heaps)
-        can read the ``rep_*`` slots without paying for an allocation.
+        aggregates and cached until the next invalidation.  Callers that
+        only need the believed numbers (the incremental ASETS* stages)
+        instead run ``_refresh()`` when ``_dirty`` is set and read the
+        ``has_pending`` / ``rep_*`` / ``head_txn`` slots, so they never
+        pay for an allocation.
         """
         if self._dirty:
             self._refresh()
@@ -393,28 +396,6 @@ class Workflow:
                 scheduling_remaining=self.rep_scheduling_remaining,
             )
         return rep
-
-    def peek(self) -> tuple[RepresentativeView | None, Transaction | None]:
-        """Representative and head in one call (one cache check).
-
-        Fusing the two accessors guarantees the pair is read from the
-        *same* refresh — a sort or decision can never pair one refresh's
-        representative with another's head.
-        """
-        if self._dirty:
-            self._refresh()
-        if not self.has_pending:
-            return None, None
-        return self.representative(), self.head_txn
-
-    def refresh(self) -> None:
-        """Recompute the ``rep_*`` / ``head_txn`` slots if invalidated.
-
-        The allocation-free companion to :meth:`peek` for hot paths that
-        read the slot aggregates directly.
-        """
-        if self._dirty:
-            self._refresh()
 
     def _refresh(self) -> None:
         # One fused pass over the members replaces the previous four

@@ -85,10 +85,15 @@ select to O(log n) amortized:
   popped: the head's next lifecycle hook — requeue, completion or
   fault; every state change has one — re-places the workflow.
 
+``select`` runs these as five stage methods — ``_drain``,
+``_migrate_expired``, ``_top_edf``, ``_top_hdf`` and ``_decide`` — and
+the profiled select calls the very same methods, each inside its probe
+span, so profiling cannot change a decision.
+
 ``ASETSStar(incremental=False)`` retains the original full-scan
-implementation as the reference: both paths share the predicate, keys
-and decision rule, and the property suite asserts they are
-decision-identical across random workloads.
+implementation as the reference: it shares the predicate, keys and
+``_decide`` with the incremental path, and the property suite asserts
+the two are decision-identical across random workloads.
 """
 
 from __future__ import annotations
@@ -96,7 +101,7 @@ from __future__ import annotations
 from heapq import heappop, heappush
 
 from repro.core.transaction import Transaction, TransactionState
-from repro.core.workflow import RepresentativeView, Workflow
+from repro.core.workflow import Workflow
 from repro.errors import SchedulingError
 from repro.policies.base import Scheduler
 from repro.policies.ordering import (
@@ -110,12 +115,6 @@ from repro.policies.ordering import (
 __all__ = ["ASETSStar"]
 
 _READY = TransactionState.READY
-
-#: Inlined ``ordering.hdf_rank`` guard value for the flat hot path.
-_NEG_INF = float("-inf")
-
-#: Everything a decision needs about one list top, looked up exactly once.
-_Entry = tuple[Workflow, RepresentativeView, Transaction]
 
 #: Heap entry: (sort key, wf_id tie-break, validity serial, workflow).
 _HeapEntry = tuple[float, int, int, Workflow]
@@ -161,19 +160,6 @@ class ASETSStar(Scheduler):
         self._edf: list[_HeapEntry] = []
         self._hdf: list[_HeapEntry] = []
         self._alarm: list[_HeapEntry] = []
-        # One-attribute-read bundle for the flat select path: a single
-        # unpack replaces eight attribute loads per scheduling point.
-        # Rebuilt in bind(), which resizes the dense arrays.
-        self._hot = (
-            self._dirty,
-            self._dirty_weak,
-            self._serial,
-            self._side,
-            self._edf,
-            self._hdf,
-            self._alarm,
-            self._active,
-        )
 
     def bind(self, transactions, workflow_set) -> None:  # type: ignore[no-untyped-def]
         super().bind(transactions, workflow_set)
@@ -186,16 +172,6 @@ class ASETSStar(Scheduler):
         self._edf.clear()
         self._hdf.clear()
         self._alarm.clear()
-        self._hot = (
-            self._dirty,
-            self._dirty_weak,
-            self._serial,
-            self._side,
-            self._edf,
-            self._hdf,
-            self._alarm,
-            self._active,
-        )
 
     # ------------------------------------------------------------------
     # Bookkeeping: track workflows that have at least one pending member.
@@ -257,254 +233,52 @@ class ASETSStar(Scheduler):
     # ------------------------------------------------------------------
     def select(self, now: float) -> Transaction | None:
         probe = self._probe
-        if not self._incremental:
-            if probe is None:
-                top_edf, top_hdf = self._scan(now)
-            else:
-                with probe.span("scan"):
-                    top_edf, top_hdf = self._scan(now)
-        elif probe is None:
-            # Flat hot path: the probed branch below runs the same logic
-            # through the modular helpers (`_drain` etc.) so spans can
-            # bracket each stage; the profiling-neutrality test pins the
-            # two branches to identical decisions.  Predicates and keys
-            # are inlined from :mod:`repro.policies.ordering` — the
-            # shared definitions remain the spec, and the scan-identity
-            # property suite is what keeps this transcription honest.
-            (
-                strong,
-                weak,
-                serials,
-                side,
-                edf_heap,
-                hdf_heap,
-                alarms,
-                active,
-            ) = self._hot
-            push = heappush
-            pop = heappop
-            ready = _READY
-
-            # Touch drain (see _drain): weak requeue touches on a live
-            # EDF placement need nothing at all.
-            if weak:
-                for wf_id, wf in weak.items():
-                    if wf_id not in strong:
-                        s = side[wf_id]
-                        if s is None or not s[0]:
-                            strong[wf_id] = wf
-                weak.clear()
-            if strong:
-                for wf_id, wf in strong.items():
-                    # Slot reads, not peek(): the aggregates are plain
-                    # floats on the workflow after refresh, so the hot
-                    # path never allocates a representative snapshot.
-                    if wf._dirty:
-                        wf._refresh()
-                    if not wf.has_pending:
-                        active.pop(wf_id, None)
-                        serials[wf_id] += 1
-                        side[wf_id] = None
-                        continue
-                    head = wf.head_txn
-                    if head is None or head.state is not ready:
-                        if side[wf_id] is not None:
-                            serials[wf_id] += 1
-                            side[wf_id] = None
-                        continue
-                    deadline = wf.rep_deadline
-                    remaining = wf.rep_scheduling_remaining
-                    s = side[wf_id]
-                    if now + remaining <= deadline:  # ordering.feasible_at
-                        thr = deadline - remaining  # ordering.latest_start
-                        if (
-                            s is not None
-                            and s[0]
-                            # repro-lint: disable=RL003 -- cached heap-key identity, not arithmetic
-                            and s[1] == deadline
-                            and thr >= s[2]
-                        ):
-                            continue  # live entries still correctly keyed
-                        serial = serials[wf_id] + 1
-                        serials[wf_id] = serial
-                        push(edf_heap, (deadline, wf_id, serial, wf))
-                        push(alarms, (thr, wf_id, serial, wf))
-                        side[wf_id] = (True, deadline, thr)
-                    else:
-                        rank = (  # ordering.hdf_rank
-                            _NEG_INF
-                            if remaining <= 0.0
-                            else -(wf.rep_weight / remaining)
-                        )
-                        if s is not None and not s[0] and s[1] == rank:
-                            continue
-                        serial = serials[wf_id] + 1
-                        serials[wf_id] = serial
-                        push(hdf_heap, (rank, wf_id, serial, wf))
-                        side[wf_id] = (False, rank)
-                strong.clear()
-
-            # Feasibility-flip migration (see _migrate_expired).
-            while alarms and alarms[0][0] < now:
-                _, wf_id, serial, wf = pop(alarms)
-                if serials[wf_id] != serial:
-                    continue
-                if wf._dirty:
-                    wf._refresh()
-                if not wf.has_pending:
-                    active.pop(wf_id, None)
-                    serials[wf_id] += 1
-                    side[wf_id] = None
-                    continue
-                deadline = wf.rep_deadline
-                remaining = wf.rep_scheduling_remaining
-                if now + remaining <= deadline:
-                    thr = deadline - remaining
-                    if thr < now:
-                        thr = now
-                    push(alarms, (thr, wf_id, serial, wf))
-                    side[wf_id] = (True, deadline, thr)
-                    continue
-                serial += 1
-                serials[wf_id] = serial
-                head = wf.head_txn
-                if head is None or head.state is not ready:
-                    side[wf_id] = None
-                    continue
-                rank = (
-                    _NEG_INF
-                    if remaining <= 0.0
-                    else -(wf.rep_weight / remaining)
-                )
-                push(hdf_heap, (rank, wf_id, serial, wf))
-                side[wf_id] = (False, rank)
-
-            # EDF top (see _top_edf), feasibility re-judged at peek.
-            head_edf = None
-            edf_d = edf_b = edf_w = 0.0
-            while edf_heap:
-                _, wf_id, serial, wf = edf_heap[0]
-                if serials[wf_id] != serial:
-                    pop(edf_heap)
-                    continue
-                if wf._dirty:
-                    wf._refresh()
-                if not wf.has_pending:
-                    pop(edf_heap)
-                    active.pop(wf_id, None)
-                    serials[wf_id] += 1
-                    side[wf_id] = None
-                    continue
-                remaining = wf.rep_scheduling_remaining
-                if now + remaining > wf.rep_deadline:
-                    pop(edf_heap)
-                    serial += 1
-                    serials[wf_id] = serial
-                    head = wf.head_txn
-                    if head is not None and head.state is ready:
-                        rank = (
-                            _NEG_INF
-                            if remaining <= 0.0
-                            else -(wf.rep_weight / remaining)
-                        )
-                        push(hdf_heap, (rank, wf_id, serial, wf))
-                        side[wf_id] = (False, rank)
-                    else:
-                        side[wf_id] = None
-                    continue
-                head = wf.head_txn
-                if head is None or head.state is not ready:
-                    pop(edf_heap)
-                    serials[wf_id] = serial + 1
-                    side[wf_id] = None
-                    continue
-                head_edf = head
-                edf_d = wf.rep_deadline
-                edf_b = remaining
-                edf_w = wf.rep_weight
-                break
-
-            # HDF top (see _top_hdf), no feasibility re-check needed.
-            head_hdf = None
-            hdf_w = 0.0
-            while hdf_heap:
-                _, wf_id, serial, wf = hdf_heap[0]
-                if serials[wf_id] != serial:
-                    pop(hdf_heap)
-                    continue
-                if wf._dirty:
-                    wf._refresh()
-                if not wf.has_pending:
-                    pop(hdf_heap)
-                    active.pop(wf_id, None)
-                    serials[wf_id] += 1
-                    side[wf_id] = None
-                    continue
-                head = wf.head_txn
-                if head is None or head.state is not ready:
-                    pop(hdf_heap)
-                    serials[wf_id] = serial + 1
-                    side[wf_id] = None
-                    continue
-                head_hdf = head
-                hdf_w = wf.rep_weight
-                break
-
-            if head_hdf is None:
-                return head_edf
-            if head_edf is None:
-                return head_hdf
-            # Figure 7 decision, slack inlined (see _decide).
-            ni_edf = head_edf.scheduling_remaining * hdf_w
-            ni_hdf = (
-                head_hdf.scheduling_remaining - (edf_d - now - edf_b)
-            ) * edf_w
-            return head_edf if ni_edf < ni_hdf else head_hdf
-        else:
-            # One top-level span covering the whole incremental body
-            # (the attribution contract is over top-level spans), with
-            # nested spans carrying the per-stage breakdown.
-            with probe.span("incremental"):
-                with probe.span("touch"):
-                    if self._dirty or self._dirty_weak:
-                        self._drain(now)
-                with probe.span("migrate"):
-                    self._migrate_expired(now)
-                with probe.span("top-edf"):
-                    top_edf = self._top_edf(now)
-                with probe.span("top-hdf"):
-                    top_hdf = self._top_hdf()
-                if top_hdf is None:
-                    if top_edf is None:
-                        return None
-                    return top_edf[2]
-                if top_edf is None:
-                    return top_hdf[2]
-                with probe.span("decide"):
-                    return self._decide(top_edf, top_hdf, now)
-        if top_hdf is None:
-            if top_edf is None:
-                return None
-            return top_edf[2]
-        if top_edf is None:
-            return top_hdf[2]
         if probe is None:
+            if self._incremental:
+                if self._dirty or self._dirty_weak:
+                    self._drain(now)
+                self._migrate_expired(now)
+                top_edf = self._top_edf(now)
+                top_hdf = self._top_hdf()
+            else:
+                top_edf, top_hdf = self._scan(now)
             return self._decide(top_edf, top_hdf, now)
-        with probe.span("decide"):
-            return self._decide(top_edf, top_hdf, now)
+        if not self._incremental:
+            with probe.span("scan"):
+                top_edf, top_hdf = self._scan(now)
+            with probe.span("decide"):
+                return self._decide(top_edf, top_hdf, now)
+        # The same stages as above, one span each.  One top-level span
+        # covers the whole incremental body (the attribution contract is
+        # over top-level spans), with nested spans carrying the per-stage
+        # breakdown.
+        with probe.span("incremental"):
+            with probe.span("touch"):
+                if self._dirty or self._dirty_weak:
+                    self._drain(now)
+            with probe.span("migrate"):
+                self._migrate_expired(now)
+            with probe.span("top-edf"):
+                top_edf = self._top_edf(now)
+            with probe.span("top-hdf"):
+                top_hdf = self._top_hdf()
+            with probe.span("decide"):
+                return self._decide(top_edf, top_hdf, now)
 
     # -- reference scan (incremental=False) ----------------------------
-    def _scan(self, now: float) -> tuple[_Entry | None, _Entry | None]:
+    def _scan(self, now: float) -> tuple[Workflow | None, Workflow | None]:
         """One pass over the active set: top of the EDF- and HDF-lists.
 
         Also prunes workflows whose representative vanished (all members
         reached a terminal state) — the paper's lists only ever hold
         pending workflows.  Retained as the reference implementation the
-        incremental path is property-tested against.
+        incremental path is property-tested against; it reads the
+        workflows through :meth:`~repro.core.workflow.Workflow.representative`
+        and :meth:`~repro.core.workflow.Workflow.head`, not the slots.
         """
-        best_edf: _Entry | None = None
+        best_edf: Workflow | None = None
         best_edf_key: tuple[float, int] | None = None
-        best_hdf: _Entry | None = None
+        best_hdf: Workflow | None = None
         best_hdf_key: tuple[float, int] | None = None
         completed: list[int] = []
 
@@ -519,17 +293,21 @@ class ASETSStar(Scheduler):
             if feasible_at(rep.deadline, rep.scheduling_remaining, now):
                 key = edf_key(rep.deadline, wf.wf_id)
                 if best_edf_key is None or key < best_edf_key:
-                    best_edf, best_edf_key = (wf, rep, head), key
+                    best_edf, best_edf_key = wf, key
             else:
                 key = hdf_key(rep.weight, rep.scheduling_remaining, wf.wf_id)
                 if best_hdf_key is None or key < best_hdf_key:
-                    best_hdf, best_hdf_key = (wf, rep, head), key
+                    best_hdf, best_hdf_key = wf, key
 
         for wf_id in completed:
             del self._active[wf_id]
         return best_edf, best_hdf
 
     # -- incremental structures ----------------------------------------
+    #
+    # The stages read the workflow's plain-slot aggregates (``rep_*``,
+    # ``has_pending``, ``head_txn``) after refreshing a dirty workflow,
+    # so no representative snapshot is allocated per scheduling point.
     def _drain(self, now: float) -> None:
         """Re-key every dirty workflow into the heaps (or out of them).
 
@@ -553,20 +331,24 @@ class ASETSStar(Scheduler):
                     if s is None or not s[0]:
                         strong[wf_id] = wf
             weak.clear()
+            if not strong:
+                return
         serials = self._serial
         active = self._active
         edf_heap = self._edf
         hdf_heap = self._hdf
         alarms = self._alarm
         for wf_id, wf in strong.items():
-            rep, head = wf.peek()
-            if rep is None:
+            if wf._dirty:
+                wf._refresh()
+            if not wf.has_pending:
                 # All members terminal: prune.  Any surviving heap
                 # entries are orphaned by the serial removal.
                 active.pop(wf_id, None)
                 serials[wf_id] += 1
                 side[wf_id] = None
                 continue
+            head = wf.head_txn
             if head is None or head.state is not _READY:
                 # Not runnable right now; orphan any live entries — the
                 # head's next lifecycle hook marks the workflow dirty
@@ -575,8 +357,8 @@ class ASETSStar(Scheduler):
                     serials[wf_id] += 1
                     side[wf_id] = None
                 continue
-            deadline = rep.deadline
-            remaining = rep.scheduling_remaining
+            deadline = wf.rep_deadline
+            remaining = wf.rep_scheduling_remaining
             s = side[wf_id]
             if feasible_at(deadline, remaining, now):
                 thr = latest_start(deadline, remaining)
@@ -592,7 +374,7 @@ class ASETSStar(Scheduler):
                 heappush(alarms, (thr, wf_id, serial, wf))
                 side[wf_id] = (True, deadline, thr)
             else:
-                rank = hdf_rank(rep.weight, remaining)
+                rank = hdf_rank(wf.rep_weight, remaining)
                 if s is not None and not s[0] and s[1] == rank:
                     continue  # keep: same HDF key
                 serial = serials[wf_id] + 1
@@ -612,19 +394,19 @@ class ASETSStar(Scheduler):
         alarms = self._alarm
         serials = self._serial
         side = self._side
-        hdf_heap = self._hdf
         while alarms and alarms[0][0] < now:
             _, wf_id, serial, wf = heappop(alarms)
             if serials[wf_id] != serial:
                 continue  # superseded entry
-            rep = wf.representative()
-            if rep is None:
+            if wf._dirty:
+                wf._refresh()
+            if not wf.has_pending:
                 self._active.pop(wf_id, None)
                 serials[wf_id] += 1
                 side[wf_id] = None
                 continue
-            remaining = rep.scheduling_remaining
-            deadline = rep.deadline
+            deadline = wf.rep_deadline
+            remaining = wf.rep_scheduling_remaining
             if feasible_at(deadline, remaining, now):
                 # Re-arm at the *current* threshold: a weak touch may
                 # have shrunk the believed remaining since this alarm was
@@ -636,15 +418,15 @@ class ASETSStar(Scheduler):
                 continue
             serial += 1
             serials[wf_id] = serial  # orphans the EDF entry
-            head = wf.head()
+            head = wf.head_txn
             if head is None or head.state is not _READY:
                 side[wf_id] = None
                 continue  # re-placed by the head's next lifecycle hook
-            rank = hdf_rank(rep.weight, remaining)
-            heappush(hdf_heap, (rank, wf_id, serial, wf))
+            rank = hdf_rank(wf.rep_weight, remaining)
+            heappush(self._hdf, (rank, wf_id, serial, wf))
             side[wf_id] = (False, rank)
 
-    def _top_edf(self, now: float) -> _Entry | None:
+    def _top_edf(self, now: float) -> Workflow | None:
         """Valid top of the EDF heap, re-judging feasibility at peek.
 
         The peek-time re-check closes the other half of the float-ulp
@@ -660,27 +442,27 @@ class ASETSStar(Scheduler):
             if serials[wf_id] != serial:
                 heappop(edf_heap)
                 continue
-            rep = wf.representative()
-            if rep is None:
+            if wf._dirty:
+                wf._refresh()
+            if not wf.has_pending:
                 heappop(edf_heap)
                 self._active.pop(wf_id, None)
                 serials[wf_id] += 1
                 side[wf_id] = None
                 continue
-            remaining = rep.scheduling_remaining
-            if not feasible_at(rep.deadline, remaining, now):
+            remaining = wf.rep_scheduling_remaining
+            head = wf.head_txn
+            if not feasible_at(wf.rep_deadline, remaining, now):
                 heappop(edf_heap)
                 serial += 1
                 serials[wf_id] = serial
-                head = wf.head()
                 if head is not None and head.state is _READY:
-                    rank = hdf_rank(rep.weight, remaining)
+                    rank = hdf_rank(wf.rep_weight, remaining)
                     heappush(self._hdf, (rank, wf_id, serial, wf))
                     side[wf_id] = (False, rank)
                 else:
                     side[wf_id] = None
                 continue
-            head = wf.head()
             if head is None or head.state is not _READY:
                 # Dispatched at this point (or blocked): pop, bump the
                 # serial (orphaning the alarm) and clear the placement so
@@ -690,10 +472,10 @@ class ASETSStar(Scheduler):
                 serials[wf_id] = serial + 1
                 side[wf_id] = None
                 continue
-            return wf, rep, head
+            return wf
         return None
 
-    def _top_hdf(self) -> _Entry | None:
+    def _top_hdf(self) -> Workflow | None:
         """Valid top of the HDF heap.
 
         No feasibility re-check: a waiting workflow's believed values
@@ -709,37 +491,48 @@ class ASETSStar(Scheduler):
             if serials[wf_id] != serial:
                 heappop(hdf_heap)
                 continue
-            rep = wf.representative()
-            if rep is None:
+            if wf._dirty:
+                wf._refresh()
+            if not wf.has_pending:
                 heappop(hdf_heap)
                 self._active.pop(wf_id, None)
                 serials[wf_id] += 1
                 side[wf_id] = None
                 continue
-            head = wf.head()
+            head = wf.head_txn
             if head is None or head.state is not _READY:
                 heappop(hdf_heap)
                 serials[wf_id] = serial + 1
                 side[wf_id] = None
                 continue
-            return wf, rep, head
+            return wf
         return None
 
     # -- decision -------------------------------------------------------
-    @staticmethod
-    def _decide(top_edf: _Entry, top_hdf: _Entry, now: float) -> Transaction:
+    # A plain method, not a staticmethod: CPython 3.11 specializes a
+    # bound-method call through ``self`` and not a staticmethod one,
+    # which roughly halves the call's cost on every select.
+    def _decide(
+        self, wf_edf: Workflow | None, wf_hdf: Workflow | None, now: float
+    ) -> Transaction | None:
         """Figure 7 lines 15-21: weighted negative-impact comparison.
 
-        Operates on the ``(workflow, representative, head)`` triples the
-        list tops were found with — no re-lookup, so the decision cannot
-        observe a different representative than the ordering did.
+        Reads the list-top workflows' representative slots and heads as
+        the tops were found with — no re-lookup, so the decision cannot
+        observe a different representative than the ordering did.  Ties
+        go to the HDF head; an empty list hands the other list's head
+        over undecided.
         """
-        _, rep_edf, head_edf = top_edf
-        _, rep_hdf, head_hdf = top_hdf
-        ni_edf = head_edf.scheduling_remaining * rep_hdf.weight
-        ni_hdf = (
-            head_hdf.scheduling_remaining - rep_edf.slack(now)
-        ) * rep_edf.weight
+        if wf_edf is None:
+            return None if wf_hdf is None else wf_hdf.head_txn
+        if wf_hdf is None:
+            return wf_edf.head_txn
+        head_edf = wf_edf.head_txn
+        head_hdf = wf_hdf.head_txn
+        assert head_edf is not None and head_hdf is not None  # READY tops
+        slack = wf_edf.rep_deadline - (now + wf_edf.rep_scheduling_remaining)
+        ni_edf = head_edf.scheduling_remaining * wf_hdf.rep_weight
+        ni_hdf = (head_hdf.scheduling_remaining - slack) * wf_edf.rep_weight
         if ni_edf < ni_hdf:
             return head_edf
         return head_hdf
@@ -758,9 +551,8 @@ class ASETSStar(Scheduler):
         One ``representative()``/``head()`` lookup per workflow per call
         — the keys are computed once and carried next to the workflow,
         so a sort can never observe a different representative than the
-        membership test did.  Shared by both list helpers and both
-        select implementations' notion of membership
-        (:mod:`repro.policies.ordering`).
+        membership test did.  Shared by both list helpers; membership and
+        keys come from :mod:`repro.policies.ordering`, like select's.
         """
         feasible: list[tuple[tuple[float, int], Workflow]] = []
         infeasible: list[tuple[tuple[float, int], Workflow]] = []

@@ -21,11 +21,13 @@ from repro.experiments.config import PolicySpec
 from repro.experiments.runner import run_policy_on
 from repro.faults import FaultSpec
 from repro.obs import Recorder
+from repro.obs.profile import PhaseProfiler
 from repro.policies import ASETSStar
 from repro.workload.generator import generate
 from repro.workload.spec import WorkloadSpec
 from tests.conftest import make_txn
 from tests.policies.test_asets_star import bind_and_arrive
+from tests.workload.test_stats import hand_workload
 
 INCREMENTAL = PolicySpec.of("asets-star", "incremental")
 SCAN = PolicySpec.of("asets-star", "scan", incremental=False)
@@ -98,6 +100,31 @@ class TestDirectedEquivalence:
                 shed_policy="feasibility",
             ),
         )
+
+    def test_exact_negative_impact_tie(self):
+        # At t=6 txn 1 is feasible (slack 3.697) and txn 2 is not, so
+        # NI(EDF) = 4.053 and NI(HDF) = 7.75 - slack.  With the slack as
+        # d - (now + r), NI(HDF) lands one ulp above NI(EDF) and txn 1
+        # runs; as d - now - r the two tie exactly and the tie goes to
+        # txn 2.  Every path must compute the slack the same way.
+        def workload():
+            return hand_workload(
+                [
+                    make_txn(1, arrival=6.0, length=4.053, deadline=13.75),
+                    make_txn(2, arrival=6.0, length=7.75, deadline=10.0),
+                ]
+            )
+
+        incremental = stream(workload(), INCREMENTAL)
+        assert incremental == stream(workload(), SCAN)
+        recorder = Recorder()
+        run_policy_on(
+            workload(),
+            PolicySpec.of("asets-star"),
+            instrument=recorder,
+            profiler=PhaseProfiler(),
+        )
+        assert norm(recorder.events) == incremental
 
     @pytest.mark.parametrize("error", [0.0, 0.3, 0.8])
     def test_estimation_error_sweep(self, error):
